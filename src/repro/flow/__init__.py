@@ -1,4 +1,9 @@
-"""Min-cost max-flow substrate (stands in for OR-Tools in DSS-LC)."""
+"""Min-cost flow substrate (stands in for OR-Tools in DSS-LC).
+
+DSS-LC's per-type graphs are stars, solved in closed form by
+:func:`solve_star`; :class:`MinCostMaxFlow` serves the multi-commodity
+path and is the oracle the star solver is tested against.
+"""
 
 from .graph import AssignmentResult, SupplyDemandGraph, solve_transport
 from .mcmf import FlowEdge, FlowResult, MinCostMaxFlow
@@ -8,6 +13,7 @@ from .multicommodity import (
     SharedLink,
     solve_sequential,
 )
+from .star import StarResult, solve_star
 
 __all__ = [
     "MinCostMaxFlow",
@@ -20,4 +26,6 @@ __all__ = [
     "SharedLink",
     "MultiCommodityResult",
     "solve_sequential",
+    "StarResult",
+    "solve_star",
 ]

@@ -11,7 +11,7 @@ how multi-source multi-sink transportation problems are solved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .mcmf import MinCostMaxFlow, FlowResult
 
@@ -70,7 +70,6 @@ def solve_transport(
     *,
     local_processing: bool = True,
     arena: Optional[MinCostMaxFlow] = None,
-    reuse_potentials: bool = False,
 ) -> AssignmentResult:
     """Route supply to demand at minimum total transmission delay.
 
@@ -81,9 +80,9 @@ def solve_transport(
     master+worker edge-cloud).
 
     ``arena`` reuses a caller-held :class:`MinCostMaxFlow` instance (its
-    network is rebuilt in place), avoiding per-call solver allocation on the
-    dispatch hot path.  ``reuse_potentials`` is forwarded to the solver; see
-    :meth:`MinCostMaxFlow.solve` for why it defaults to off.
+    network is rebuilt in place) instead of allocating a solver per call.
+    DSS-LC's star graphs skip this lowering altogether: see
+    :mod:`repro.flow.star`, which is tested against it.
     """
     n = graph.n_nodes
     if n == 0:
@@ -122,9 +121,7 @@ def solve_transport(
         idx += 1
     net.add_edges(staged)
 
-    result: FlowResult = net.solve(
-        source, sink, reuse_potentials=reuse_potentials
-    )
+    result: FlowResult = net.solve(source, sink)
 
     routed: Dict[Tuple[int, int], int] = {}
     for idx, key in transit_edges:

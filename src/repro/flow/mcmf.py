@@ -16,8 +16,13 @@ Storage is flat parallel arrays (src/dst/capacity/cost/flow per arc) rather
 than per-arc objects: a dispatch round builds thousands of short-lived arcs,
 and array slots are far cheaper to allocate and to walk in the Dijkstra inner
 loop.  The arrays double as an arena — :meth:`MinCostMaxFlow.rebuild` clears
-the network in place so DSS-LC can keep one solver per (master, request-type)
-and refill capacities each tick instead of re-allocating the object graph.
+the network in place so a caller can refill one solver instead of
+re-allocating the object graph.
+
+DSS-LC's per-type graphs are stars and are solved in closed form by
+:mod:`repro.flow.star`; this solver serves the multi-commodity
+``coordinate_types`` path and is the oracle the star solver is tested
+against.
 """
 
 from __future__ import annotations
@@ -87,12 +92,9 @@ class MinCostMaxFlow:
         self._flow: List[int] = []
         self._adj: List[List[int]] = [[] for _ in range(n_nodes)]
         self._has_negative_cost = False
-        #: feasible potentials from the last solve (warm-start candidate).
-        self._last_potential: Optional[List[float]] = None
-        # cumulative counters (survive rebuild; read by solver_stats)
+        # cumulative counters (survive rebuild)
         self.solves = 0
         self.augmentations = 0
-        self.warm_starts = 0
 
     # ------------------------------------------------------------------ #
     # construction / arena reuse
@@ -154,12 +156,7 @@ class MinCostMaxFlow:
         return first
 
     def reset(self) -> None:
-        """Zero all flows, keeping the network; the next solve starts fresh.
-
-        The last solve's potentials are kept as a warm-start candidate —
-        they are feasibility-checked against the restored residual arcs
-        before any reuse, so stale potentials only cost a cold start.
-        """
+        """Zero all flows, keeping the network; the next solve starts fresh."""
         self._flow = [0] * len(self._flow)
 
     def rebuild(self, n_nodes: int) -> None:
@@ -177,7 +174,6 @@ class MinCostMaxFlow:
         else:
             self.n = n_nodes
             self._adj = [[] for _ in range(n_nodes)]
-            self._last_potential = None
         self._has_negative_cost = False
 
     def _check_node(self, node: int) -> None:
@@ -196,19 +192,8 @@ class MinCostMaxFlow:
         source: int,
         sink: int,
         max_flow: Optional[int] = None,
-        *,
-        reuse_potentials: bool = False,
     ) -> FlowResult:
-        """Push up to ``max_flow`` units (default: maximum) at minimum cost.
-
-        ``reuse_potentials`` warm-starts the Johnson potentials from the
-        previous solve on this instance when they are still feasible for the
-        current costs (checked in O(E); infeasible potentials fall back to a
-        cold start).  Warm starts preserve the optimal flow value and cost
-        but may tie-break equal-cost paths differently, so the option is
-        **off by default** — the simulation keeps bit-identical dispatch
-        decisions unless a caller explicitly opts in.
-        """
+        """Push up to ``max_flow`` units (default: maximum) at minimum cost."""
         self._check_node(source)
         self._check_node(sink)
         if source == sink:
@@ -216,12 +201,7 @@ class MinCostMaxFlow:
         limit = _INF if max_flow is None else int(max_flow)
         self.solves += 1
 
-        potential = None
-        if reuse_potentials and self._potentials_feasible(self._last_potential):
-            potential = list(self._last_potential)  # type: ignore[arg-type]
-            self.warm_starts += 1
-        if potential is None:
-            potential = self._initial_potentials(source)
+        potential = self._initial_potentials(source)
         total_flow = 0
         total_cost = 0
 
@@ -253,7 +233,6 @@ class MinCostMaxFlow:
                 v = src[idx]
             total_flow += push
 
-        self._last_potential = potential
         edge_flows = [
             f if f > 0 else 0 for f in flow[::2]
         ]
@@ -262,19 +241,6 @@ class MinCostMaxFlow:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _potentials_feasible(self, potential: Optional[List[float]]) -> bool:
-        """True if every residual arc has non-negative reduced cost."""
-        if potential is None or len(potential) != self.n:
-            return False
-        cap, cost, flow = self._cap, self._cost, self._flow
-        src, dst = self._src, self._dst
-        for idx in range(len(src)):
-            if cap[idx] - flow[idx] <= 0:
-                continue
-            if cost[idx] + potential[src[idx]] - potential[dst[idx]] < -1e-9:
-                return False
-        return True
-
     def _initial_potentials(self, source: int) -> List[float]:
         if not self._has_negative_cost:
             return [0.0] * self.n

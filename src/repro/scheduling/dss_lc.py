@@ -11,7 +11,9 @@ Each master runs this algorithm on its own LC queue every tick, making
    re-assurance mechanism when HRM is active;
 3. **case 1** (demand ≤ capacity): a single graph ``G_k`` is built over
    available resources and solved as a min-cost max-flow (transmission delay
-   as cost) — our solver stands in for the paper's OR-Tools call;
+   as cost).  ``G_k`` is a star (master → workers → sink), so the closed-form
+   :func:`repro.flow.star.solve_star` stands in for the paper's OR-Tools
+   call, equal to a general SSP solve tie-breaks included;
 4. **case 2** (demand > capacity): the random sorting function ρ(·) splits
    the queue into ``R_k`` (placed immediately, as case 1) and ``R'_k``
    (queued), and a second graph ``Ĝ'_k`` distributes the queued remainder
@@ -25,14 +27,13 @@ Decision latency is tracked per call so the §7.2 response-time claims
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.state_storage import NodeSnapshot, SystemSnapshot
-from repro.flow.graph import AssignmentResult, SupplyDemandGraph, solve_transport
-from repro.flow.mcmf import MinCostMaxFlow
+from repro.flow.star import ArcCosts, arc_costs, solve_star
 from repro.hrm.reassurance import ReassuranceMechanism
 from repro.obs.emitter import NULL_EMITTER
 from repro.sim.request import ServiceRequest
@@ -122,11 +123,6 @@ class DSSLCConfig:
     #: the ρ(·) case-2 priority policy: random (paper default), fifo,
     #: deadline, or tier (§5.2.2: "can be changed as required").
     priority: str = "random"
-    #: warm-start each pooled solver's Johnson potentials from its previous
-    #: solve.  Off by default: warm starts can change Dijkstra tie-breaks
-    #: among equal-delay workers, so runs are no longer bit-identical to the
-    #: cold-start schedule (flow cost is unchanged).
-    reuse_potentials: bool = False
     #: solve all request types jointly over shared link capacities (the
     #: full multi-commodity formulation) instead of the paper's per-type
     #: "in parallel" graphs.  Costs one sequential MCMF pass per type but
@@ -167,10 +163,8 @@ class DSSLCScheduler:
         self.emitter = NULL_EMITTER
         #: MCMF objective accumulated across the current round's solves.
         self._flow_cost_round = 0.0
-        #: one solver arena per (origin master, request type): graph shape
-        #: is stable across ticks for a given pair, so the flat flow arrays
-        #: are recycled instead of reallocated every dispatch round.
-        self._arenas: Dict[Tuple[int, str], MinCostMaxFlow] = {}
+        #: ``[solves, augmentations]`` per (origin master, request type).
+        self._solver_counts: Dict[Tuple[int, str], List[int]] = {}
         #: per-type minima cache: (service, id(nodes)) -> (nodes ref,
         #: reassurance version, r_cpu, r_mem).  Each master queries its own
         #: eligible-node list, so the list identity is part of the key; the
@@ -179,6 +173,11 @@ class DSSLCScheduler:
         #: per-node resource columns (cpu/mem available+total, lc queue)
         #: as arrays, keyed and pinned the same way as the minima cache.
         self._node_array_cache: Dict[int, tuple] = {}
+        #: star arc cost columns: (origin, id(nodes)) -> (nodes ref, delay
+        #: row ref, costs), pinned like the node arrays.
+        self._arc_cost_cache: Dict[Tuple[int, int], tuple] = {}
+        #: per origin: (delay row ref, arc cost columns indexed by cluster).
+        self._cluster_arc_costs: Dict[int, tuple] = {}
         #: when set (by the runner with invariant checking on), every
         #: per-type dispatch round appends a :class:`DispatchAuditRecord`;
         #: the invariant stage drains it each tick.  None = no recording.
@@ -275,9 +274,9 @@ class DSSLCScheduler:
         cpu_eff = np.maximum(0.0, cpu_ava - hold * cpu_tot)
         mem_eff = np.maximum(0.0, mem_ava - hold * mem_tot)
         units = np.minimum(cpu_eff / r_cpu, mem_eff / r_mem).astype(np.int64)
-        capacities = np.maximum(0, units - lc_q)
+        capacities = np.maximum(0, units - lc_q).tolist()
         pending = len(requests)
-        total_capacity = int(capacities.sum())
+        total_capacity = sum(capacities)
 
         if pending <= total_capacity:
             placed = self._solve_and_assign(
@@ -542,6 +541,36 @@ class DSSLCScheduler:
     # ------------------------------------------------------------------ #
     # graph construction + flow solve
     # ------------------------------------------------------------------ #
+    def _arc_costs(
+        self,
+        origin_cluster: int,
+        nodes: List[NodeSnapshot],
+        snapshot: SystemSnapshot,
+    ) -> ArcCosts:
+        """Star arc cost columns from ``origin_cluster`` to ``nodes``.
+
+        Valid while both the node list and the origin's delay row are the
+        same objects; the entry pins both, as :meth:`_node_arrays` does.
+        A node list lives one snapshot, so a miss reads the columns from
+        the origin's per-cluster costs, which live as long as the row.
+        """
+        row = snapshot.delay_ms[origin_cluster]
+        key = (origin_cluster, id(nodes))
+        cached = self._arc_cost_cache.get(key)
+        if cached is not None and cached[0] is nodes and cached[1] is row:
+            return cached[2]
+        by_cluster = self._cluster_arc_costs.get(origin_cluster)
+        if by_cluster is None or by_cluster[0] is not row:
+            by_cluster = (row, arc_costs(row))
+            self._cluster_arc_costs[origin_cluster] = by_cluster
+        costs = tuple(
+            [column[n.cluster_id] for n in nodes] for column in by_cluster[1]
+        )
+        if len(self._arc_cost_cache) > 64:
+            self._arc_cost_cache.clear()
+        self._arc_cost_cache[key] = (nodes, row, costs)
+        return costs
+
     def _solve_and_assign(
         self,
         origin_cluster: int,
@@ -550,54 +579,42 @@ class DSSLCScheduler:
         capacities: List[int],
         snapshot: SystemSnapshot,
     ) -> List[Assignment]:
+        """Solve the star ``G_k`` / ``Ĝ'_k`` and bind requests in order.
+
+        Arc ``k`` of worker ``i`` costs the transmission delay plus the
+        ``k``-th queueing surcharge of :mod:`repro.flow.star`, so the flow
+        spreads across workers instead of filling the closest one.
+        """
         if not requests:
             return []
-        arena_key = (origin_cluster, requests[0].spec.name)
-        arena = self._arenas.get(arena_key)
-        if arena is None:
-            arena = self._arenas[arena_key] = MinCostMaxFlow(len(nodes) + 3)
-        graph = SupplyDemandGraph()
-        # node 0 is the origin master (supply); 1..N are workers (demand)
-        graph.supplies = [len(requests)] + [-c for c in capacities]
-        for i, node in enumerate(nodes):
-            delay = snapshot.delay_ms[origin_cluster][node.cluster_id]
-            cap = min(self.config.link_capacity, len(requests))
-            # Convex load cost: each deeper slice of a node's capacity pays a
-            # growing queueing-delay surcharge, so the min-cost flow spreads
-            # across nodes instead of filling the closest one to the brim.
-            # (§5.2.2 notes richer traffic-engineering terms slot in here.)
-            remaining = min(cap, capacities[i])
-            slice_size = max(1, (remaining + 2) // 3)
-            for depth, surcharge in enumerate((0.0, 6.0, 18.0)):
-                take = min(slice_size, remaining)
-                if take <= 0:
-                    break
-                graph.edges.append((0, 1 + i, delay + surcharge, take))
-                remaining -= take
-        result: AssignmentResult = solve_transport(
-            graph,
-            arena=arena,
-            reuse_potentials=self.config.reuse_potentials,
+        result = solve_star(
+            self._arc_costs(origin_cluster, nodes, snapshot),
+            capacities,
+            len(requests),
+            self.config.link_capacity,
         )
+        key = (origin_cluster, requests[0].spec.name)
+        counts = self._solver_counts.setdefault(key, [0, 0])
+        counts[0] += 1
+        counts[1] += result.augmentations
         self._flow_cost_round += result.total_delay_ms
 
+        row = snapshot.delay_ms[origin_cluster]
         assignments: List[Assignment] = []
         cursor = 0
-        for j, count in sorted(result.absorbed.items()):
-            node = nodes[j - 1]
-            delay = snapshot.delay_ms[origin_cluster][node.cluster_id]
-            for _ in range(count):
-                if cursor >= len(requests):
-                    break
+        for i, count in result.absorbed.items():
+            node = nodes[i]
+            delay = row[node.cluster_id]
+            for request in requests[cursor : cursor + count]:
                 assignments.append(
                     Assignment(
-                        request=requests[cursor],
+                        request=request,
                         node_name=node.name,
                         cluster_id=node.cluster_id,
                         cost_ms=delay,
                     )
                 )
-                cursor += 1
+            cursor += count
         return assignments
 
     # ------------------------------------------------------------------ #
@@ -612,9 +629,9 @@ class DSSLCScheduler:
     # Checkpointable
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> Dict:
-        """RNG positions and counters.  Solver arenas and the id()-keyed
-        snapshot caches are pure accelerators (self-invalidating via ``is``
-        checks) and are rebuilt, not restored."""
+        """RNG positions and counters.  The id()-keyed snapshot caches are
+        pure accelerators (self-invalidating via ``is`` checks) and are
+        rebuilt, not restored."""
         return {
             "rng": self.rng.bit_generator.state,
             # one stream per master; stateless policies contribute nothing
@@ -640,16 +657,17 @@ class DSSLCScheduler:
         self._flow_cost_round = state["flow_cost_round"]
         self._minima_cache.clear()
         self._node_array_cache.clear()
+        self._arc_cost_cache.clear()
+        self._cluster_arc_costs.clear()
 
     def solver_stats(self) -> Dict[str, float]:
-        """Aggregate counters across all pooled solver arenas."""
+        """Star-solve counters.  ``arenas`` counts the (master, request
+        type) pairs that have solved; the key keeps its historical name."""
+        counts = self._solver_counts.values()
         return {
-            "arenas": len(self._arenas),
-            "solves": sum(a.solves for a in self._arenas.values()),
-            "augmentations": sum(
-                a.augmentations for a in self._arenas.values()
-            ),
-            "warm_starts": sum(a.warm_starts for a in self._arenas.values()),
+            "arenas": len(self._solver_counts),
+            "solves": sum(c[0] for c in counts),
+            "augmentations": sum(c[1] for c in counts),
             "case2_rounds": self.case2_rounds,
             "mean_decision_latency_ms": round(
                 self.mean_decision_latency_ms(), 4

@@ -194,11 +194,11 @@ class ThreadShardExecutor(ShardExecutor):
 class ProcessShardExecutor(ShardExecutor):
     """One single-process pool per shard slot (fork when available).
 
-    Payload *i* always lands in process *i*, so each worker's cached
-    scheduler keeps its solver arenas warm across ticks — a shared pool
-    would scatter a shard's ticks over arbitrary processes and rebuild
-    the arenas every time.  Payload functions must be module-level and
-    payloads picklable.
+    Payload *i* always lands in process *i*, so each worker builds its
+    scheduler clone once and keeps its ρ(·) policies across ticks — a
+    shared pool would scatter a shard's ticks over arbitrary processes
+    and rebuild the clone every time.  Payload functions must be
+    module-level and payloads picklable.
     """
 
     backend = "process"
@@ -308,6 +308,8 @@ class _MasterResult:
     assigned: List[Tuple[int, str, int, float]]
     rng_state: Optional[dict]
     case2_delta: int
+    #: ``[solves, augmentations]`` per (master, request type) this tick.
+    solver_counts: Dict[Tuple[int, str], List[int]]
     flow_cost_ms: float
     decision_ms: float
     audit: List[Any]
@@ -327,9 +329,9 @@ class _ShardResult:
 
 
 #: per-thread (and therefore per-process, in a process pool) scheduler
-#: clone, kept warm across ticks so solver arenas are recycled exactly as
-#: the serial scheduler recycles them.  Thread-local because the thread
-#: backend runs :func:`run_lc_shard` concurrently in one process.
+#: clone, kept across ticks so it is built once per worker.  Thread-local
+#: because the thread backend runs :func:`run_lc_shard` concurrently in
+#: one process.
 _worker_state = threading.local()
 
 
@@ -353,10 +355,10 @@ def run_lc_shard(payload: _ShardPayload) -> _ShardResult:
     """Worker entry: run Alg. 2 for every master in the shard, in order.
 
     Runs on a per-worker scheduler clone built from the shipped config
-    (solver arenas and caches are pure accelerators, kept warm across
-    ticks; the only sequential state is the per-master ρ(·) stream, which
-    is installed from and returned to the parent).  Module-level so a
-    process pool can pickle it.
+    (its caches are pure accelerators; the only sequential state is the
+    per-master ρ(·) stream, which is installed from and returned to the
+    parent, and the solver counters, which travel back as this tick's
+    deltas).  Module-level so a process pool can pickle it.
     """
     t0 = time.process_time()
     scheduler = _worker_scheduler(payload.config)
@@ -372,6 +374,7 @@ def run_lc_shard(payload: _ShardPayload) -> _ShardResult:
             payload.snapshot_time_ms, payload.delay_ms, master.nodes
         )
         case2_before = scheduler.case2_rounds
+        scheduler._solver_counts = {}
         assignments = scheduler.dispatch(
             master.cluster_id, master.requests, view, (), payload.now_ms
         )
@@ -389,6 +392,7 @@ def run_lc_shard(payload: _ShardPayload) -> _ShardResult:
                     else None
                 ),
                 case2_delta=scheduler.case2_rounds - case2_before,
+                solver_counts=scheduler._solver_counts,
                 flow_cost_ms=scheduler._flow_cost_round,
                 decision_ms=scheduler.decision_latencies_ms[-1],
                 audit=scheduler.audit_log or [],
@@ -440,7 +444,7 @@ class ShardedLCDispatchStage(Stage):
         self.overhead_s = 0.0
         self.shard_busy_s: Dict[int, float] = {}
         #: sticky, cost-balanced shard assignment: masters keep their
-        #: shard (preserving worker-side solver-arena affinity) until the
+        #: shard (preserving worker-side cache affinity) until the
         #: predicted-cost skew under the current assignment exceeds
         #: ``rebalance_threshold`` × the mean shard cost, then a fresh LPT
         #: assignment is computed.  Cost per master is an EWMA of the
@@ -585,6 +589,10 @@ class ShardedLCDispatchStage(Stage):
             if result.rng_state is not None and hasattr(policy, "rng"):
                 policy.rng.bit_generator.state = result.rng_state
             scheduler.case2_rounds += result.case2_delta
+            for key, (solves, augmentations) in result.solver_counts.items():
+                counts = scheduler._solver_counts.setdefault(key, [0, 0])
+                counts[0] += solves
+                counts[1] += augmentations
             scheduler.decision_latencies_ms.append(result.decision_ms)
             if audit:
                 scheduler.audit_log.extend(result.audit)

@@ -2,9 +2,8 @@
 
 Complements ``test_mcmf.py`` (hypothesis-vs-networkx) with pinned golden
 networks — including negative-cost and zero-capacity arcs — and with the
-reuse API the DSS-LC arena pool depends on: ``reset()`` re-solves the same
-network identically, ``rebuild()`` makes a recycled instance behave exactly
-like a fresh one, and warm-started potentials preserve flow and cost.
+arena reuse API: ``reset()`` re-solves the same network identically and
+``rebuild()`` makes a recycled instance behave exactly like a fresh one.
 """
 
 from __future__ import annotations
@@ -96,6 +95,52 @@ class TestArenaReuse:
         assert first.edge_flows == second.edge_flows
 
     @pytest.mark.parametrize("seed", range(8))
+    def test_reset_matches_fresh_solve_on_random_network(self, seed):
+        """Re-solving after ``reset()`` never changes flow, cost or routing,
+        including on networks whose first solve saturated arcs."""
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(4, 9))
+        edges = random_network(rng, n)
+        fresh = MinCostMaxFlow(n)
+        reused = MinCostMaxFlow(n)
+        for u, v, cap, cost in edges:
+            fresh.add_edge(u, v, cap, cost)
+            reused.add_edge(u, v, cap, cost)
+        res_fresh = fresh.solve(0, n - 1)
+        reused.solve(0, n - 1)
+        reused.reset()
+        res_reused = reused.solve(0, n - 1)
+        assert res_reused.flow == res_fresh.flow
+        assert res_reused.cost == res_fresh.cost
+        assert res_reused.edge_flows == res_fresh.edge_flows
+
+    def test_reset_resolves_capped_solve_identically(self):
+        """A ``max_flow``-capped solve that saturates nothing re-solves
+        to the same flows after ``reset()``."""
+        net = MinCostMaxFlow(3)
+        net.add_edge(0, 1, 5, 2)
+        net.add_edge(1, 2, 5, 3)
+        first = net.solve(0, 2, max_flow=2)  # below the bottleneck
+        assert first.flow == 2
+        net.reset()
+        second = net.solve(0, 2, max_flow=2)
+        assert (second.flow, second.cost) == (first.flow, first.cost)
+        assert second.edge_flows == first.edge_flows
+
+    def test_rebuild_into_negative_cost_network(self):
+        """A recycled instance re-derives its potentials (Bellman-Ford)
+        for a new network with a negative-cost arc."""
+        net = MinCostMaxFlow(4)
+        build_diamond(net)
+        net.solve(0, 3)
+        net.rebuild(4)
+        net.add_edge(0, 1, 2, 10)
+        net.add_edge(1, 3, 2, -8)
+        res = net.solve(0, 3)
+        assert res.flow == 2
+        assert res.cost == 4
+
+    @pytest.mark.parametrize("seed", range(8))
     def test_rebuild_matches_fresh_solver(self, seed):
         rng = np.random.default_rng(seed)
         arena = MinCostMaxFlow(3)
@@ -139,55 +184,3 @@ class TestArenaReuse:
         assert (e.src, e.dst, e.capacity, e.cost) == (0, 1, 2, 1)
         assert e.flow == 2
         assert e.residual == 0
-
-
-class TestWarmStart:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_warm_start_preserves_flow_and_cost(self, seed):
-        """Re-solving with reuse_potentials never changes flow or cost.
-
-        Whether the reuse actually engages depends on feasibility — arcs
-        saturated by the first solve rejoin the residual network after
-        ``reset()`` and can make the old potentials infeasible, in which
-        case the solver must fall back to a cold start, not a wrong one.
-        """
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(4, 9))
-        edges = random_network(rng, n)
-        cold = MinCostMaxFlow(n)
-        warm = MinCostMaxFlow(n)
-        for u, v, cap, cost in edges:
-            cold.add_edge(u, v, cap, cost)
-            warm.add_edge(u, v, cap, cost)
-        res_cold = cold.solve(0, n - 1)
-        warm.solve(0, n - 1)  # populate _last_potential
-        warm.reset()
-        res_warm = warm.solve(0, n - 1, reuse_potentials=True)
-        assert res_warm.flow == res_cold.flow
-        assert res_warm.cost == res_cold.cost
-
-    def test_warm_start_engages_on_unsaturated_network(self):
-        """A solve that saturates nothing leaves reusable potentials."""
-        net = MinCostMaxFlow(3)
-        net.add_edge(0, 1, 5, 2)
-        net.add_edge(1, 2, 5, 3)
-        first = net.solve(0, 2, max_flow=2)  # below the bottleneck
-        assert first.flow == 2
-        net.reset()
-        second = net.solve(0, 2, max_flow=2, reuse_potentials=True)
-        assert net.warm_starts == 1
-        assert (second.flow, second.cost) == (first.flow, first.cost)
-        assert second.edge_flows == first.edge_flows
-
-    def test_infeasible_potentials_fall_back(self):
-        net = MinCostMaxFlow(4)
-        build_diamond(net)
-        net.solve(0, 3)
-        # new network with a negative cost the old potentials can't cover
-        net.rebuild(4)
-        net.add_edge(0, 1, 2, 10)
-        net.add_edge(1, 3, 2, -8)
-        res = net.solve(0, 3, reuse_potentials=True)
-        assert res.flow == 2
-        assert res.cost == 4
-        assert net.warm_starts == 0
