@@ -68,6 +68,18 @@ class EdgeCloudSystem:
             )
         self._distance = self._distance_matrix()
         self.central_cluster_id = self._select_central()
+        # the geometry is fixed from here on, so the fn. 4 neighbourhoods
+        # are computed once instead of on every dispatch round.
+        radius = cfg.nearby_radius_km
+        self._nearby: List[List[int]] = [
+            [
+                other.cluster_id
+                for other in self.clusters
+                if other.cluster_id == cid
+                or self.distance_km(cid, other.cluster_id) <= radius
+            ]
+            for cid in range(cfg.n_clusters)
+        ]
 
     # ------------------------------------------------------------------ #
     # geometry / latency
@@ -107,14 +119,11 @@ class EdgeCloudSystem:
         return self.one_way_delay_ms(a, b) + serialisation * 1000.0
 
     def nearby_clusters(self, cluster_id: int) -> List[int]:
-        """Local + geo-nearby clusters eligible for LC dispatch (fn. 4)."""
-        radius = self.config.nearby_radius_km
-        return [
-            other.cluster_id
-            for other in self.clusters
-            if other.cluster_id == cluster_id
-            or self.distance_km(cluster_id, other.cluster_id) <= radius
-        ]
+        """Local + geo-nearby clusters eligible for LC dispatch (fn. 4).
+
+        The list is shared across calls; callers must not mutate it.
+        """
+        return self._nearby[cluster_id]
 
     # ------------------------------------------------------------------ #
     # central cluster selection (footnote 2)

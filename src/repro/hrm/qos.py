@@ -14,12 +14,12 @@ field of DCG-BE's node state (§5.3.1).
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-import numpy as np
-
+from repro.metrics.window import percentile as exact_percentile
 from repro.workloads.spec import ServiceSpec
 
 __all__ = ["QoSDetector", "WINDOW_MS"]
@@ -115,8 +115,7 @@ class QoSDetector:
                 return value
         else:
             cached = self._tail_cache[key] = {}
-        values = [s.latency_ms for s in window]
-        value = float(np.percentile(values, percentile))
+        value = exact_percentile([s.latency_ms for s in window], percentile)
         cached[percentile] = value
         return value
 
@@ -129,7 +128,7 @@ class QoSDetector:
         now_ms: Optional[float] = None,
     ) -> Optional[float]:
         """δ = 1 − ξ/γ; None when no samples exist yet."""
-        if not spec.is_lc or not np.isfinite(spec.qos_target_ms):
+        if not spec.is_lc or not math.isfinite(spec.qos_target_ms):
             return None
         tail = self.tail_latency_ms(node, service, now_ms=now_ms)
         if tail is None:

@@ -16,7 +16,8 @@ and a ceiling (a multiple of the reference allocation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.cluster.resources import ResourceVector
 from repro.obs.emitter import NULL_EMITTER
@@ -59,6 +60,8 @@ LEVEL_POOR = "poor"
 LEVEL_STABLE = "stable"
 LEVEL_EXCELLENT = "excellent"
 
+_NO_OVERRIDES: Mapping[str, ResourceVector] = MappingProxyType({})
+
 
 class ReassuranceMechanism:
     """Maintains the adjusted per-(node, service) minimum request amounts."""
@@ -72,15 +75,17 @@ class ReassuranceMechanism:
         self.config = config or ReassuranceConfig()
         if not self.config.alpha < self.config.beta:
             raise ValueError("require alpha < beta")
-        self._min_resources: Dict[Tuple[str, str], ResourceVector] = {}
+        #: adjusted minima, service → {node: minimum}; a (node, service)
+        #: pair without an entry uses the catalog minimum.  Grouped by
+        #: service so DSS-LC can patch a catalog-filled vector with only the
+        #: overrides that exist (a few hundred at most) instead of querying
+        #: every eligible node.
+        self._min_resources: Dict[str, Dict[str, ResourceVector]] = {}
         self._last_run_ms: float = -1e18
         self.adjustments = {LEVEL_POOR: 0, LEVEL_EXCELLENT: 0, LEVEL_STABLE: 0}
         #: bumped on every minima change so consumers (DSS-LC) can cache
         #: derived per-node values between adjustment passes.
         self.version = 0
-        #: observability bus; assigned by the runner, None when disabled
-        #: (kept for introspection — emissions go through the emitter).
-        self.bus = None
         #: lifecycle emitter; rewired by the runner, null when standalone.
         self.emitter = NULL_EMITTER
         #: last known level per (node, service); only maintained when the
@@ -93,7 +98,17 @@ class ReassuranceMechanism:
     # ------------------------------------------------------------------ #
     def min_resources(self, node: str, spec: ServiceSpec) -> ResourceVector:
         """Current minimum allocation for one request of ``spec`` on node."""
-        return self._min_resources.get((node, spec.name), spec.min_resources)
+        overrides = self._min_resources.get(spec.name)
+        if overrides is None:
+            return spec.min_resources
+        return overrides.get(node, spec.min_resources)
+
+    def overrides(self, service: str) -> Mapping[str, ResourceVector]:
+        """Node → adjusted minimum for ``service``, only where one is set.
+
+        A read-only live view: it changes whenever :attr:`version` does.
+        """
+        return self._min_resources.get(service, _NO_OVERRIDES)
 
     def classify(
         self,
@@ -156,9 +171,9 @@ class ReassuranceMechanism:
         scaled = current * factor
         floor = spec.min_resources * self.config.floor_fraction
         ceiling = spec.reference_resources * self.config.ceiling_multiple
-        self._min_resources[(node, spec.name)] = scaled.max_with(floor).min_with(
-            ceiling
-        )
+        self._min_resources.setdefault(spec.name, {})[node] = scaled.max_with(
+            floor
+        ).min_with(ceiling)
         self.version += 1
 
     def reset(self, node: Optional[str] = None) -> None:
@@ -166,8 +181,8 @@ class ReassuranceMechanism:
         if node is None:
             self._min_resources.clear()
         else:
-            for key in [k for k in self._min_resources if k[0] == node]:
-                del self._min_resources[key]
+            for overrides in self._min_resources.values():
+                overrides.pop(node, None)
 
     # ------------------------------------------------------------------ #
     # Checkpointable

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.cluster.resources import ResourceKind, ResourceVector
+from repro.metrics.window import percentile
 
 from .kubelet import CONTAINER_COLD_START_MS, POD_TEARDOWN_MS
 from .objects import ContainerSpec, Pod, PodPhase, PodSpec
@@ -74,8 +73,8 @@ class NativeVPA:
         history = self._usage.get(pod_key)
         if not history:
             return None
-        cpu = np.percentile([u.cpu for u in history], self.TARGET_PERCENTILE)
-        mem = np.percentile([u.memory for u in history], self.TARGET_PERCENTILE)
+        cpu = percentile([u.cpu for u in history], self.TARGET_PERCENTILE)
+        mem = percentile([u.memory for u in history], self.TARGET_PERCENTILE)
         target = ResourceVector(cpu=cpu * self.MARGIN, memory=mem * self.MARGIN)
         return VPARecommendation(
             target=target,

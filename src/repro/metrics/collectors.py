@@ -23,6 +23,8 @@ from repro.cluster.topology import EdgeCloudSystem
 from repro.sim.request import ServiceRequest
 from repro.workloads.spec import ServiceKind
 
+from .window import percentile
+
 __all__ = ["PERIOD_MS", "PeriodCollector", "RunMetrics"]
 
 #: data-collection period (§6.2).
@@ -81,9 +83,7 @@ class RunMetrics:
         return float(np.mean(self.utilization)) if self.utilization else 0.0
 
     def lc_tail_latency_ms(self, q: float = 95.0) -> Optional[float]:
-        if not self.lc_latencies_ms:
-            return None
-        return float(np.percentile(self.lc_latencies_ms, q))
+        return percentile(self.lc_latencies_ms, q)
 
     def service_qos_rates(self) -> Dict[str, float]:
         """Per-service satisfaction rate (satisfied / arrived), LC and BE."""

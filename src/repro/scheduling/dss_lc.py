@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +48,18 @@ __all__ = [
     "DispatchAuditRecord",
     "augmented_capacities",
 ]
+
+
+class _NodeColumns(NamedTuple):
+    """Per-node columns of one eligible-node list (see ``_node_arrays``)."""
+
+    cpu_available: np.ndarray
+    mem_available: np.ndarray
+    cpu_total: np.ndarray
+    mem_total: np.ndarray
+    lc_queue: np.ndarray
+    names: Tuple[str, ...]
+    index_of: Dict[str, int]
 
 
 def augmented_capacities(
@@ -156,22 +168,22 @@ class DSSLCScheduler:
         self._minima_override: Optional[Dict[str, tuple]] = None
         self.decision_latencies_ms: List[float] = []
         self.case2_rounds = 0
-        #: observability bus; assigned by the runner, None when disabled
-        #: (kept for introspection — emissions go through the emitter).
-        self.bus = None
         #: lifecycle emitter; rewired by the runner, null when standalone.
         self.emitter = NULL_EMITTER
         #: MCMF objective accumulated across the current round's solves.
         self._flow_cost_round = 0.0
         #: ``[solves, augmentations]`` per (origin master, request type).
         self._solver_counts: Dict[Tuple[int, str], List[int]] = {}
-        #: per-type minima cache: (service, id(nodes)) -> (nodes ref,
-        #: reassurance version, r_cpu, r_mem).  Each master queries its own
-        #: eligible-node list, so the list identity is part of the key; the
-        #: pinned nodes reference inside the entry defeats ``id()`` reuse.
-        self._minima_cache: Dict[Tuple[str, int], tuple] = {}
-        #: per-node resource columns (cpu/mem available+total, lc queue)
-        #: as arrays, keyed and pinned the same way as the minima cache.
+        #: per-type minima: (service, node names) -> (catalog minimum ref,
+        #: overrides ref, (r_cpu, r_mem)), valid for one re-assurance
+        #: version (``_minima_version``; the cache is emptied when it
+        #: moves).  Keyed on names, not on the node list, because a list
+        #: lives one snapshot while minima only move with the version.
+        self._minima_cache: Dict[Tuple[str, tuple], tuple] = {}
+        self._minima_version = 0
+        #: per node list, keyed by ``id(nodes)`` and pinned: the resource
+        #: columns (cpu/mem available+total, lc queue) as arrays, the node
+        #: names and the name -> index map.
         self._node_array_cache: Dict[int, tuple] = {}
         #: star arc cost columns: (origin, id(nodes)) -> (nodes ref, delay
         #: row ref, costs), pinned like the node arrays.
@@ -263,7 +275,9 @@ class DSSLCScheduler:
     ) -> List[Assignment]:
         spec = requests[0].spec
         r_cpu, r_mem = self._per_request_minima(spec, nodes)
-        cpu_ava, mem_ava, cpu_tot, mem_tot, lc_q = self._node_arrays(nodes)
+        cpu_ava, mem_ava, cpu_tot, mem_tot, lc_q, _, index_of = (
+            self._node_arrays(nodes)
+        )
 
         # |t_i^k| of Eq. 2, with two practical corrections: the node is only
         # filled to ``target_fill`` of its total (past that every co-located
@@ -313,7 +327,6 @@ class DSSLCScheduler:
             # are deducted before the λ scaling of Eqs. 7-8 (counting the
             # raw totals twice over-assigned busy nodes).
             placed_now = np.zeros(len(nodes), dtype=np.int64)
-            index_of = {n.name: i for i, n in enumerate(nodes)}
             for a in immediate_assignments:
                 placed_now[index_of[a.node_name]] += 1
             adjusted = np.maximum(0, total_units - placed_now - lc_q)
@@ -346,7 +359,8 @@ class DSSLCScheduler:
         queued: List[Assignment],
         n_queued: int,
     ) -> None:
-        index_of = {n.name: i for i, n in enumerate(nodes)}
+        columns = self._node_arrays(nodes)
+        index_of = columns.index_of
         immediate_counts = [0] * len(nodes)
         for a in immediate:
             immediate_counts[index_of[a.node_name]] += 1
@@ -356,7 +370,7 @@ class DSSLCScheduler:
         self.audit_log.append(
             DispatchAuditRecord(
                 service=spec.name,
-                node_names=[n.name for n in nodes],
+                node_names=list(columns.names),
                 cpu_available=[n.cpu_available for n in nodes],
                 mem_available=[n.mem_available for n in nodes],
                 cpu_total=[n.cpu_total for n in nodes],
@@ -445,7 +459,7 @@ class DSSLCScheduler:
                 # placements and each node's existing backlog, mirroring
                 # the per-type case-2 path.
                 placed_now = [0] * len(nodes)
-                index_of = {n.name: i for i, n in enumerate(nodes)}
+                index_of = self._node_arrays(nodes).index_of
                 for a in assignments:
                     placed_now[index_of[a.node_name]] += 1
                 total_units = [
@@ -474,36 +488,52 @@ class DSSLCScheduler:
     ) -> tuple:
         """Per-node (r^c_k, r^m_k), re-assurance-adjusted when available.
 
-        Memoized per (node list, re-assurance version): the node list is a
-        shared snapshot object, and re-assurance minima only move when its
-        control loop fires, so successive dispatch rounds within a snapshot
-        period reuse the same vectors.
+        Memoized per (service, node names) within one re-assurance version:
+        every master with the same neighbourhood, and every snapshot until
+        the control loop next fires, reuses the same vectors.  An entry
+        also pins the catalog minimum and the service's override map it was
+        built from, so a different spec under the same name or a restored
+        mechanism never reads a stale entry.  A miss fills the catalog
+        minimum and patches the nodes the mechanism has overrides for.
         """
         if self._minima_override is not None:
             entry = self._minima_override.get(spec.name)
             if entry is not None:
                 return entry
-        version = self.reassurance.version if self.reassurance is not None else 0
-        key = (spec.name, id(nodes))
+        columns = self._node_arrays(nodes)
+        reassurance = self.reassurance
+        overrides = None
+        if reassurance is not None:
+            if reassurance.version != self._minima_version:
+                self._minima_cache.clear()
+                self._minima_version = reassurance.version
+            overrides = reassurance.overrides(spec.name)
+        catalog = spec.min_resources
+        key = (spec.name, columns.names)
         cached = self._minima_cache.get(key)
-        if cached is not None and cached[0] is nodes and cached[1] == version:
-            return cached[2], cached[3]
-        r_cpu = np.empty(len(nodes))
-        r_mem = np.empty(len(nodes))
-        for i, n in enumerate(nodes):
-            if self.reassurance is not None:
-                r = self.reassurance.min_resources(n.name, spec)
-            else:
-                r = spec.min_resources
-            r_cpu[i] = max(r.cpu, 1e-9)
-            r_mem[i] = max(r.memory, 1e-9)
-        if len(self._minima_cache) > 512:
+        if cached is not None and cached[0] is catalog and cached[1] is overrides:
+            return cached[2]
+        # Python lists patch several times faster than numpy item stores;
+        # ``1e-9 if 1e-9 > x else x`` is ``max(x, 1e-9)`` without the call.
+        cpu = [max(catalog.cpu, 1e-9)] * len(nodes)
+        mem = [max(catalog.memory, 1e-9)] * len(nodes)
+        if overrides:
+            index_of = columns.index_of
+            for name, r in overrides.items():
+                i = index_of.get(name)
+                if i is not None:
+                    c, m = r.cpu, r.memory
+                    cpu[i] = 1e-9 if 1e-9 > c else c
+                    mem[i] = 1e-9 if 1e-9 > m else m
+        minima = (np.array(cpu, dtype=float), np.array(mem, dtype=float))
+        if len(self._minima_cache) >= 64:
             self._minima_cache.clear()
-        self._minima_cache[key] = (nodes, version, r_cpu, r_mem)
-        return r_cpu, r_mem
+        self._minima_cache[key] = (catalog, overrides, minima)
+        return minima
 
-    def _node_arrays(self, nodes: List[NodeSnapshot]) -> tuple:
-        """Resource columns for a snapshot's eligible-node list, as arrays.
+    def _node_arrays(self, nodes: List[NodeSnapshot]) -> _NodeColumns:
+        """Resource columns for a snapshot's eligible-node list, as arrays,
+        plus the node names and the name -> index map.
 
         Valid for the lifetime of the list object (node views are frozen for
         a snapshot period); the entry pins the list so a recycled ``id()``
@@ -513,12 +543,15 @@ class DSSLCScheduler:
         cached = self._node_array_cache.get(key)
         if cached is not None and cached[0] is nodes:
             return cached[1]
-        arrays = (
+        names = tuple(n.name for n in nodes)
+        arrays = _NodeColumns(
             np.array([n.cpu_available for n in nodes]),
             np.array([n.mem_available for n in nodes]),
             np.array([n.cpu_total for n in nodes]),
             np.array([n.mem_total for n in nodes]),
             np.array([n.lc_queue for n in nodes], dtype=np.int64),
+            names,
+            {name: i for i, name in enumerate(names)},
         )
         if len(self._node_array_cache) > 64:
             self._node_array_cache.clear()
@@ -629,9 +662,9 @@ class DSSLCScheduler:
     # Checkpointable
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> Dict:
-        """RNG positions and counters.  The id()-keyed snapshot caches are
-        pure accelerators (self-invalidating via ``is`` checks) and are
-        rebuilt, not restored."""
+        """RNG positions and counters.  The caches are pure accelerators
+        (self-invalidating via ``is`` checks and the re-assurance version)
+        and are rebuilt, not restored."""
         return {
             "rng": self.rng.bit_generator.state,
             # one stream per master; stateless policies contribute nothing

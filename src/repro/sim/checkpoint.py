@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 #: bump on any incompatible change to the bundle layout.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @runtime_checkable

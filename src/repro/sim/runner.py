@@ -237,14 +237,14 @@ class SimulationRunner:
             self.coordinator.install(self.pipeline)
 
     def _wire_publishers(self) -> None:
-        """Hand the bus + emitter to every publisher exactly once.
+        """Hand this run's emitter to every publisher.
 
         Schedulers, managers, and the re-assurance mechanism are owned by
-        the system builder and reused across runs, so the references are
+        the system builder and reused across runs, so the reference is
         always (re)assigned — a disabled run must not inherit a previous
-        run's bus.  Publishers are deduplicated by identity (a dual-role
-        scheduler like DSACO appears as both LC and BE; one manager object
-        usually serves every worker), making the wiring idempotent.
+        run's bus.  Assignment is idempotent, so a publisher listed twice
+        (a dual-role scheduler like DSACO; one manager serving every
+        worker) is harmless.
         """
         publishers: List[Any] = [self.lc_scheduler, self.be_scheduler]
         if self.reassurance is not None:
@@ -254,12 +254,7 @@ class SimulationRunner:
         for node in self.system.all_workers():
             if node.manager is not None:
                 publishers.append(node.manager)
-        seen = set()
         for publisher in publishers:
-            if id(publisher) in seen:
-                continue
-            seen.add(id(publisher))
-            publisher.bus = self.bus
             publisher.emitter = self.emitter
 
     # ------------------------------------------------------------------ #

@@ -340,13 +340,9 @@ def _worker_scheduler(config: DSSLCConfig) -> DSSLCScheduler:
     if scheduler is None or scheduler.config != config:
         scheduler = DSSLCScheduler(config)
         _worker_state.scheduler = scheduler
-    # Caches are keyed by node-list identity; under the process backend
-    # every tick unpickles fresh node lists, so pinned entries can only
-    # accumulate — drop them before they become a leak (pure accelerators,
-    # rebuilding is always safe).
-    if len(scheduler._minima_cache) > 4096:
-        scheduler._minima_cache.clear()
-        scheduler._node_array_cache.clear()
+    # Under the process backend every tick unpickles fresh node lists;
+    # the scheduler's identity-pinned caches are size-capped, so they
+    # cannot grow into a leak.
     scheduler.decision_latencies_ms.clear()
     return scheduler
 

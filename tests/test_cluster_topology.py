@@ -158,3 +158,49 @@ class TestBandwidthModel:
         assert sys.transfer_ms(0, 1, 0.0) == pytest.approx(
             sys.one_way_delay_ms(0, 1)
         )
+
+
+class TestNearbyClusters:
+    """The fn. 4 neighbourhoods are computed once at construction."""
+
+    @staticmethod
+    def geometric(sys, cid):
+        radius = sys.config.nearby_radius_km
+        return [
+            other
+            for other in range(sys.n_clusters)
+            if other == cid or sys.distance_km(cid, other) <= radius
+        ]
+
+    @pytest.mark.parametrize("radius", [0.0, 500.0, 2400.0, 1e9])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11])
+    def test_precomputed_equals_geometric_filter(self, radius, seed):
+        sys = EdgeCloudSystem(
+            TopologyConfig(n_clusters=9, workers_per_cluster=1, seed=seed,
+                           nearby_radius_km=radius)
+        )
+        for cid in range(sys.n_clusters):
+            assert sys.nearby_clusters(cid) == self.geometric(sys, cid)
+
+    def test_unchanged_by_a_full_tango_run(self):
+        from repro import TangoConfig, TangoSystem
+        from repro.sim.runner import RunnerConfig
+        from repro.workloads.trace import SyntheticTrace, TraceConfig
+
+        cfg = TangoConfig.tango(
+            topology=TopologyConfig(n_clusters=4, workers_per_cluster=3,
+                                    seed=3, nearby_radius_km=1200.0),
+            runner=RunnerConfig(duration_ms=2_000.0),
+        )
+        system = TangoSystem(cfg)
+        topo = system.system
+        before = [list(topo.nearby_clusters(c)) for c in range(topo.n_clusters)]
+        assert before == [self.geometric(topo, c) for c in range(topo.n_clusters)]
+        trace = SyntheticTrace(
+            TraceConfig(n_clusters=4, duration_ms=2_000.0, seed=3,
+                        lc_peak_rps=30.0, be_peak_rps=5.0)
+        ).generate()
+        metrics = system.run(trace)
+        assert metrics.lc_arrived > 0
+        after = [topo.nearby_clusters(c) for c in range(topo.n_clusters)]
+        assert after == before

@@ -209,13 +209,13 @@ class TestDisabledPath:
         runner = system.last_runner
         assert runner.hub is None and runner.bus is None
         assert runner.events is None
-        assert system.lc_scheduler.bus is None
+        assert not system.lc_scheduler.emitter.enabled
 
     def test_rewire_resets_bus_on_shared_publishers(self):
         """Publishers are reused across runs: a disabled run must not
         inherit the previous run's bus."""
         system, _ = observed_run(clusters=2, workers=2, duration=500.0)
-        assert system.lc_scheduler.bus is not None
+        assert system.lc_scheduler.emitter.enabled
         # building a disabled runner over the same system resets every bus
         SimulationRunner(
             system.system, [], system.catalog,
@@ -224,9 +224,9 @@ class TestDisabledPath:
             state_storage=system.storage,
             reassurance=system.reassurance,
         )
-        assert system.lc_scheduler.bus is None
-        assert system.be_scheduler.bus is None
-        assert system.manager.bus is None
+        assert not system.lc_scheduler.emitter.enabled
+        assert not system.be_scheduler.emitter.enabled
+        assert not system.manager.emitter.enabled
 
 
 class TestCli:
