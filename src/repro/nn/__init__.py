@@ -9,7 +9,7 @@ from .gnn import (
     IdentityEncoder,
     adjacency_from_edges,
 )
-from .layers import Dense, Layer, ReLU, Sequential, Tanh, mlp
+from .layers import DTYPE, Dense, Layer, ReLU, Sequential, Tanh, mlp
 from .optim import Adam, SGD, clip_grad_norm
 from .persistence import CheckpointError, load_params, save_params
 from .policy import (
@@ -21,6 +21,7 @@ from .policy import (
 from .sac import SACAgent, SACConfig, SACTransition
 
 __all__ = [
+    "DTYPE",
     "Layer",
     "Dense",
     "ReLU",

@@ -64,8 +64,10 @@ class SACConfig:
 class _QHead:
     """One Q network: encoder-embedding → per-node Q values."""
 
-    def __init__(self, d: int, hidden: Sequence[int], rng: np.random.Generator):
-        self.net: Sequential = mlp([d, *hidden, 1], rng)
+    def __init__(
+        self, d: int, hidden: Sequence[int], rng: np.random.Generator, dtype
+    ):
+        self.net: Sequential = mlp([d, *hidden, 1], rng, dtype=dtype)
 
     def q_values(self, h: np.ndarray) -> np.ndarray:
         return self.net.forward(h)[:, 0]
@@ -88,9 +90,13 @@ class SACAgent:
             n_node_features, self.cfg.encoder_hidden, rng
         )
         d = self.encoder.out_features
-        self.policy: Sequential = mlp([d, *self.cfg.hidden, 1], rng)
-        self.q1 = _QHead(d, self.cfg.hidden, rng)
-        self.q2 = _QHead(d, self.cfg.hidden, rng)
+        #: network dtype, taken from the encoder (float32 by default).
+        self.dtype = self.encoder.dtype
+        self.policy: Sequential = mlp(
+            [d, *self.cfg.hidden, 1], rng, dtype=self.dtype
+        )
+        self.q1 = _QHead(d, self.cfg.hidden, rng, self.dtype)
+        self.q2 = _QHead(d, self.cfg.hidden, rng, self.dtype)
         self.q1_target = copy.deepcopy(self.q1)
         self.q2_target = copy.deepcopy(self.q2)
         params = [
@@ -194,7 +200,7 @@ class SACAgent:
         # Q losses: (Q(s,a) - y)^2 for each head.
         for head in (self.q1, self.q2):
             q = head.q_values(h)
-            gq = np.zeros((n, 1))
+            gq = np.zeros((n, 1), dtype=self.dtype)
             gq[a, 0] = 2.0 * (q[a] - y) * weight
             grad_h_total += head.net.backward(gq)
 
@@ -211,7 +217,9 @@ class SACAgent:
         glogits = probs * (inner + self.cfg.alpha - expected) * weight
         # Recompute the q-head forwards above clobbered the policy cache? No:
         # each Sequential keeps its own cache, so policy.backward is valid.
-        grad_h_total += self.policy.backward(glogits[:, None])
+        grad_h_total += self.policy.backward(
+            glogits[:, None].astype(self.dtype)
+        )
 
         self.encoder.backward(grad_h_total)
 

@@ -41,8 +41,10 @@ __all__ = [
     "load_checkpoint",
 ]
 
-#: bump on any incompatible change to the bundle layout.
-CHECKPOINT_VERSION = 2
+#: bump on any incompatible change to the bundle layout.  3: the learning
+#: agents hold float32 networks (a version-2 bundle restores float64 ones,
+#: which would upcast every step).
+CHECKPOINT_VERSION = 3
 
 
 @runtime_checkable
